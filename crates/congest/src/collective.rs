@@ -11,7 +11,10 @@
 //!   up, and the root ends with the combined map. Streams are emitted in
 //!   increasing key order with watermark tracking, so distinct keys
 //!   pipeline: `O(K + height)` rounds for `K` distinct keys crossing the
-//!   bottleneck edge.
+//!   bottleneck edge. A node's last item doubles as its DONE; only a
+//!   node whose subtree holds no key sends a bare DONE. Each tree edge
+//!   therefore carries `max(1, K_sub)` messages for the `K_sub` distinct
+//!   keys below it, and a single-key convergecast costs exactly `n − 1`.
 //! * [`gather`] — convergecast of *distinct* items (a thin wrapper).
 //! * [`converge_merged`] / [`gather_merged`] — the **combiner-aware**
 //!   convergecast: items flow upward *eagerly* (no watermark waiting),
@@ -50,6 +53,8 @@ pub type Item = (Word, [Word; 2]);
 const TAG_ITEM: u64 = 1;
 const TAG_DONE: u64 = 2;
 const TAG_SEND: u64 = 3;
+/// A watermark-convergecast item that is also its sender's DONE.
+const TAG_ITEM_DONE: u64 = 4;
 
 // ---------------------------------------------------------------------
 // Broadcast
@@ -248,18 +253,30 @@ impl<C: Fn(Word, [Word; 2], [Word; 2]) -> [Word; 2]> ConvergeProgram<C> {
     }
 
     fn flush(&mut self, ctx: &mut Ctx<'_>) {
+        let Some(parent) = self.parent else { return };
         let watermark = self.frontier.values().copied().min().unwrap_or(Word::MAX);
-        if let Some(parent) = self.parent {
-            // Emit every settled key (< watermark) upward, in order.
-            let ready: Vec<Word> = self.merged.range(..watermark).map(|(&k, _)| k).collect();
-            for k in ready {
-                let [a, b] = self.merged.remove(&k).expect("key present");
-                ctx.send(parent, Message::words(&[TAG_ITEM, k, a, b]));
-            }
-            if watermark == Word::MAX && !self.sent_done {
+        let finished = watermark == Word::MAX;
+        // Emit every settled key (< watermark) upward, in order. Once
+        // every child is done, the last key emitted doubles as this
+        // node's DONE.
+        while let Some(entry) = self.merged.first_entry().filter(|e| *e.key() < watermark) {
+            let (k, [a, b]) = entry.remove_entry();
+            let more = self
+                .merged
+                .first_key_value()
+                .is_some_and(|(&next, _)| next < watermark);
+            let tag = if finished && !more {
                 self.sent_done = true;
-                ctx.send(parent, Message::words(&[TAG_DONE]));
-            }
+                TAG_ITEM_DONE
+            } else {
+                TAG_ITEM
+            };
+            ctx.send(parent, Message::words(&[tag, k, a, b]));
+        }
+        // A node with nothing left to emit still owes a bare DONE.
+        if finished && !self.sent_done {
+            self.sent_done = true;
+            ctx.send(parent, Message::words(&[TAG_DONE]));
         }
     }
 }
@@ -274,11 +291,15 @@ impl<C: Fn(Word, [Word; 2], [Word; 2]) -> [Word; 2]> Program for ConvergeProgram
     fn round(&mut self, ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
         for (from, msg) in inbox {
             match msg.word(0) {
-                TAG_ITEM => {
+                tag @ (TAG_ITEM | TAG_ITEM_DONE) => {
                     let key = msg.word(1);
                     self.insert(key, [msg.word(2), msg.word(3)]);
                     let f = self.frontier.get_mut(from).expect("sender is a child");
-                    *f = (*f).max(key.saturating_add(1));
+                    *f = if tag == TAG_ITEM_DONE {
+                        Word::MAX
+                    } else {
+                        (*f).max(key.saturating_add(1))
+                    };
                 }
                 TAG_DONE => {
                     *self.frontier.get_mut(from).expect("sender is a child") = Word::MAX;
@@ -299,7 +320,14 @@ impl<C: Fn(Word, [Word; 2], [Word; 2]) -> [Word; 2]> Program for ConvergeProgram
 /// `combine(key, a, b)`; the root's combined map is returned.
 ///
 /// Items are streamed in increasing key order with per-child watermarks,
-/// so `K` distinct keys cost `O(K + height)` rounds at cap 1.
+/// so `K` distinct keys cost `O(K + height)` rounds at cap 1. The last
+/// item a node emits is tagged as its DONE as well, so a tree edge
+/// carries one message per distinct key of the subtree below it, or a
+/// single bare DONE when that subtree contributes nothing.
+///
+/// The root map is independent of arrival order only because `combine`
+/// is commutative; a merge that keeps the earlier of two tied values
+/// (see [`converge_min`]) resolves ties by arrival order.
 pub fn converge<E, C>(
     sim: &mut E,
     tree: &BfsTree,
@@ -541,7 +569,8 @@ pub fn gather_merged<E: Executor>(
 
 /// Convergecast of keyed minima over the first value word; the second
 /// word rides along with its minimum (e.g. `val = [weight, edge-id]`
-/// keeps the lightest edge per key).
+/// keeps the lightest edge per key). Among values tied on the first
+/// word, the earliest to arrive survives.
 pub fn converge_min<E: Executor>(
     sim: &mut E,
     tree: &BfsTree,
@@ -682,6 +711,30 @@ mod tests {
         let (tree, _) = build_bfs_tree(&mut sim, 0);
         let (got, _) = converge_sum(&mut sim, &tree, |_| vec![(0, [1, 2])]);
         assert_eq!(got[&0], [36, 72]);
+    }
+
+    #[test]
+    fn single_key_converge_costs_one_message_per_tree_edge() {
+        // Every non-root vertex sends exactly one message: its last
+        // (here: only) item carries the DONE, and a vertex whose subtree
+        // holds nothing sends a bare DONE — n−1 in total.
+        let g = generators::erdos_renyi(48, 0.1, 9, 4);
+        let contributors: [fn(NodeId) -> bool; 3] = [|_| true, |v| v == 17, |v| v % 5 == 0];
+        for contributes in contributors {
+            let mut sim = Simulator::new(&g);
+            let (tree, _) = build_bfs_tree(&mut sim, 0);
+            let (got, stats) = converge_sum(&mut sim, &tree, |v| {
+                if contributes(v) {
+                    vec![(7, [1, v as u64])]
+                } else {
+                    Vec::new()
+                }
+            });
+            let count = (0..g.n()).filter(|&v| contributes(v)).count() as u64;
+            assert_eq!(got[&7][0], count);
+            assert_eq!(stats.messages_delivered(), g.n() as u64 - 1);
+            assert!(stats.rounds <= tree.height() + 1, "{} rounds", stats.rounds);
+        }
     }
 
     #[test]

@@ -177,10 +177,9 @@ impl<'a> Ctx<'a> {
 
     /// Sends a copy of `msg` to every neighbor.
     pub fn send_all(&mut self, msg: Message) {
-        let targets: Vec<NodeId> = self.neighbors.iter().map(|&(v, _, _)| v).collect();
-        for v in targets {
-            self.send(v, msg.clone());
-        }
+        let neighbors = self.neighbors;
+        self.staged
+            .extend(neighbors.iter().map(|&(v, _, _)| (v, msg.clone())));
     }
 }
 

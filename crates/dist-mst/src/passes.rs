@@ -16,7 +16,10 @@
 //!
 //! All passes run in *all fragments in parallel*, exactly as the paper
 //! prescribes ("locally in each fragment, i.e. in all the base fragments
-//! in parallel").
+//! in parallel"). [`up_pass_where`] and [`flood_pass_opt`] restrict a
+//! pass to some fragments; the rest sit it out at no message cost.
+//! Programs borrow their vertex's [`FragView`] rather than copying
+//! neighbor or child lists.
 
 use congest::{Ctx, Executor, Message, Program, RunStats, Word};
 use lightgraph::NodeId;
@@ -38,13 +41,12 @@ pub struct FragView {
 }
 
 impl FragView {
-    /// Children = tree neighbors minus the parent.
-    pub fn children(&self) -> Vec<NodeId> {
+    /// Children = tree neighbors minus the parent, in neighbor order.
+    pub fn children(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.tree_neighbors
             .iter()
             .copied()
-            .filter(|&v| Some(v) != self.parent)
-            .collect()
+            .filter(move |&v| Some(v) != self.parent)
     }
 }
 
@@ -111,7 +113,26 @@ pub fn up_pass<C>(
 where
     C: Fn(Val, Val) -> Val + Clone + Send,
 {
-    let (out, stats) = up_pass_full(sim, views, own, combine, |_| identity_transform());
+    up_pass_where(sim, views, |_| true, own, combine)
+}
+
+/// [`up_pass`] in the fragments whose vertices satisfy `takes_part`
+/// only. The predicate must be fragment-uniform; the other fragments
+/// sit the pass out — their vertices send nothing, `own` is never
+/// evaluated for them, and they report `[0; 3]`.
+pub fn up_pass_where<C>(
+    sim: &mut impl Executor,
+    views: &[FragView],
+    takes_part: impl Fn(NodeId) -> bool,
+    own: impl Fn(NodeId) -> Val,
+    combine: C,
+) -> (Vec<Val>, RunStats)
+where
+    C: Fn(Val, Val) -> Val + Clone + Send,
+{
+    let (out, stats) = run_up(sim, views, takes_part, own, combine, |_| {
+        identity_transform()
+    });
     (out.into_iter().map(|(acc, _)| acc).collect(), stats)
 }
 
@@ -128,20 +149,41 @@ pub fn up_pass_full<C, T>(
     views: &[FragView],
     own: impl Fn(NodeId) -> Val,
     combine: C,
+    outgoing: impl FnMut(NodeId) -> T,
+) -> (Vec<(Val, Vec<(NodeId, Val)>)>, RunStats)
+where
+    C: Fn(Val, Val) -> Val + Clone + Send,
+    T: Fn(Val) -> Val + Send,
+{
+    run_up(sim, views, |_| true, own, combine, outgoing)
+}
+
+/// The shared up-pass driver. A vertex outside `takes_part` runs an
+/// inert program: no parent, no pending children, so it neither sends
+/// nor waits.
+fn run_up<C, T>(
+    sim: &mut impl Executor,
+    views: &[FragView],
+    takes_part: impl Fn(NodeId) -> bool,
+    own: impl Fn(NodeId) -> Val,
+    combine: C,
     mut outgoing: impl FnMut(NodeId) -> T,
 ) -> (Vec<(Val, Vec<(NodeId, Val)>)>, RunStats)
 where
     C: Fn(Val, Val) -> Val + Clone + Send,
     T: Fn(Val) -> Val + Send,
 {
-    sim.run(|v, _| UpProgram {
-        parent: views[v].parent,
-        pending_children: views[v].children().len(),
-        acc: own(v),
-        combine: combine.clone(),
-        outgoing: outgoing(v),
-        received: Vec::new(),
-        sent: false,
+    sim.run(|v, _| {
+        let part = takes_part(v);
+        UpProgram {
+            parent: views[v].parent.filter(|_| part),
+            pending_children: if part { views[v].children().count() } else { 0 },
+            acc: if part { own(v) } else { [0; 3] },
+            combine: combine.clone(),
+            outgoing: outgoing(v),
+            received: Vec::new(),
+            sent: false,
+        }
     })
 }
 
@@ -241,46 +283,74 @@ pub fn flood_pass(
 /// Selective [`flood_pass`]: only fragments whose root returns
 /// `Some(val)` flood; the others stay silent and their vertices spend no
 /// messages (and return `None`). Used by the global Borůvka phase to
-/// re-label only the fragments whose component id actually changed.
+/// re-label only the fragments whose component id actually changed, and
+/// by phase 1 to keep frozen fragments out of the status flood.
 pub fn flood_pass_opt(
     sim: &mut impl Executor,
     views: &[FragView],
     root_val: impl Fn(NodeId) -> Option<Val>,
 ) -> (Vec<Option<Val>>, RunStats) {
-    let children: Vec<Vec<NodeId>> = views.iter().map(FragView::children).collect();
-    let (out, stats) = sim.run(|v, _| {
-        let start = views[v].parent.is_none().then(|| root_val(v)).flatten();
-        let ch = children[v].clone();
-        DownProgram {
-            is_root: start.is_some(),
-            root_val: start.unwrap_or_default(),
-            derive: move |_, val| ch.iter().map(|&c| (c, val)).collect::<ChildPayloads>(),
-            fired: false,
-            received: Vec::new(),
+    sim.run(|v, _| FloodProgram {
+        view: &views[v],
+        got: views[v].parent.is_none().then(|| root_val(v)).flatten(),
+    })
+}
+
+/// A verbatim [`down_pass`]: each vertex forwards the first value it
+/// holds to its fragment-tree children, borrowing its view instead of
+/// materializing child lists.
+struct FloodProgram<'a> {
+    view: &'a FragView,
+    got: Option<Val>,
+}
+
+impl FloodProgram<'_> {
+    fn forward(&self, ctx: &mut Ctx<'_>, [a, b, c]: Val) {
+        for child in self.view.children() {
+            ctx.send(child, Message::words(&[TAG_DOWN, a, b, c]));
         }
-    });
-    (
-        out.into_iter()
-            .map(|vals| vals.into_iter().next())
-            .collect(),
-        stats,
-    )
+    }
+}
+
+impl Program for FloodProgram<'_> {
+    type Output = Option<Val>;
+
+    fn init(&mut self, ctx: &mut Ctx<'_>) {
+        if let Some(val) = self.got {
+            self.forward(ctx, val);
+        }
+    }
+
+    fn round(&mut self, ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
+        for (_, msg) in inbox {
+            debug_assert_eq!(msg.word(0), TAG_DOWN);
+            if self.got.is_none() {
+                let val = [msg.word(1), msg.word(2), msg.word(3)];
+                self.got = Some(val);
+                self.forward(ctx, val);
+            }
+        }
+    }
+
+    fn finish(self) -> Option<Val> {
+        self.got
+    }
 }
 
 // ---------------------------------------------------------------------
 // Re-rooting flood
 // ---------------------------------------------------------------------
 
-struct RerootProgram {
+struct RerootProgram<'a> {
     is_new_root: bool,
-    tree_neighbors: Vec<NodeId>,
+    tree_neighbors: &'a [NodeId],
     new_parent: Option<NodeId>,
     done: bool,
 }
 
-impl RerootProgram {
-    fn spread(&mut self, ctx: &mut Ctx<'_>, skip: Option<NodeId>) {
-        for &u in &self.tree_neighbors.clone() {
+impl RerootProgram<'_> {
+    fn spread(&self, ctx: &mut Ctx<'_>, skip: Option<NodeId>) {
+        for &u in self.tree_neighbors {
             if Some(u) != skip {
                 ctx.send(u, Message::words(&[TAG_RESET]));
             }
@@ -288,7 +358,7 @@ impl RerootProgram {
     }
 }
 
-impl Program for RerootProgram {
+impl Program for RerootProgram<'_> {
     type Output = Option<NodeId>;
 
     fn init(&mut self, ctx: &mut Ctx<'_>) {
@@ -328,7 +398,7 @@ pub fn reroot(
 ) -> (Vec<FragView>, RunStats) {
     let (parents, stats) = sim.run(|v, _| RerootProgram {
         is_new_root: is_new_root(v),
-        tree_neighbors: views[v].tree_neighbors.clone(),
+        tree_neighbors: &views[v].tree_neighbors,
         new_parent: None,
         done: false,
     });
@@ -414,7 +484,7 @@ mod tests {
             &views,
             |_| [100, 0, 0],
             |v| {
-                let ch = views2[v].children();
+                let ch: Vec<NodeId> = views2[v].children().collect();
                 move |_, val: Val| ch.iter().map(|&c| (c, [val[0] + 1, 0, 0])).collect()
             },
         );

@@ -629,6 +629,57 @@ proptest! {
         }
     }
 
+    /// Watermark convergecast, whose last item per node doubles as its
+    /// DONE: on random multi-key inputs the root map equals a
+    /// sequential fold of every item on the Simulator and on the
+    /// Engine, and the bill is exact — each tree edge carries one
+    /// message per distinct key of the subtree below it, or one bare
+    /// DONE when that subtree holds no key.
+    #[test]
+    fn prop_converge_matches_sequential_fold((g, seed) in arb_graph(), keys in 1u64..12) {
+        let items = move |v: NodeId| -> Vec<collective::Item> {
+            let v = v as u64;
+            (0..(v * 7 + seed) % 3)
+                .map(|j| ((v * 5 + j * 3 + seed) % keys, [v + j, (v * 13 + j) % 17]))
+                .collect()
+        };
+        let merge = |_: congest::Word, a: [congest::Word; 2], b: [congest::Word; 2]| {
+            [a[0] + b[0], a[1].max(b[1])]
+        };
+        let mut want: std::collections::BTreeMap<congest::Word, [congest::Word; 2]> =
+            std::collections::BTreeMap::new();
+        for v in 0..g.n() {
+            for (k, val) in items(v) {
+                let folded = want.get(&k).map_or(val, |&cur| merge(k, cur, val));
+                want.insert(k, folded);
+            }
+        }
+        let mut sim = Simulator::new(&g);
+        let (tau, _) = build_bfs_tree(&mut sim, 0);
+        let mut below: Vec<std::collections::BTreeSet<congest::Word>> =
+            (0..g.n()).map(|v| items(v).into_iter().map(|(k, _)| k).collect()).collect();
+        let mut deepest_first: Vec<NodeId> = (0..g.n()).collect();
+        deepest_first.sort_by_key(|&v| std::cmp::Reverse(tau.depth[v]));
+        let mut bill = 0;
+        for v in deepest_first {
+            if let Some(p) = tau.parent[v] {
+                bill += below[v].len().max(1) as u64;
+                let keys_v = std::mem::take(&mut below[v]);
+                below[p].extend(keys_v);
+            }
+        }
+        let (got, stats) = collective::converge(&mut sim, &tau, items, merge);
+        prop_assert_eq!(&got, &want, "root map vs sequential fold");
+        prop_assert_eq!(stats.messages_delivered(), bill, "message bill");
+        for threads in THREADS {
+            let mut eng = Engine::with_threads(&g, threads);
+            let (tau_e, _) = build_bfs_tree(&mut eng, 0);
+            let (got_e, stats_e) = collective::converge(&mut eng, &tau_e, items, merge);
+            prop_assert_eq!(&got_e, &want, "root map (threads={})", threads);
+            prop_assert_eq!(stats_e, stats, "stats (threads={})", threads);
+        }
+    }
+
     /// Combiner-aware collectives wall: the eager convergecast
     /// (`converge_merged`) must (a) reach the same root map as the
     /// watermark path, (b) be bit-identical to its own *non-combined*
