@@ -24,8 +24,23 @@
 //!   (so communication intervals have bounded hop length); each EN17b
 //!   iteration runs token sweeps *inside the intervals* — left-to-right
 //!   to distribute the cluster state, right-to-left to accumulate the
-//!   neighborhood maximum — plus one neighbor exchange. `O(interval)`
-//!   rounds per iteration, independent of the global cluster count.
+//!   neighborhood maximum — plus one neighbor exchange *over `E_i`
+//!   only*. `O(interval)` rounds per iteration, independent of the
+//!   global cluster count.
+//!
+//! Case-2 message bill per iteration (`k` iterations, then one final
+//! LTR sweep and one selection exchange per bucket):
+//!
+//! | step | messages |
+//! |---|---|
+//! | LTR sweep | one token per non-head tour position, `< 2n` |
+//! | neighbor exchange | `Σ_v` distinct `E_i` neighbors of `v` — `2\|E_i\|` on a simple graph |
+//! | RTL sweep | one token per non-tail tour position, `< 2n` |
+//!
+//! The exchange stays on `E_i`: both readers (the step-(c) candidates
+//! and the final selection) look up only `E_i` neighbors, so states
+//! sent over the rest of `G` (`2m` per exchange) would never be read.
+//! Vertices without `E_i` edges send nothing and are never scheduled.
 //!
 //! One deviation from the letter of the paper, recorded in DESIGN.md:
 //! in Case 2 the final edge-selection dedup is per *vertex* rather than
@@ -39,10 +54,9 @@ use congest::tree::BfsTree;
 use congest::{pack2, Ctx, Executor, Message, Program, RunStats, Word};
 use dist_mst::boruvka::distributed_mst;
 use dist_mst::euler::distributed_euler_tour;
-use lightgraph::{EdgeId, NodeId, Weight};
+use lightgraph::{EdgeId, Graph, NodeId, Weight};
 use sparse_spanner::baswana_sen::baswana_sen;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
 
 const TAG_STATE: u64 = 70;
 
@@ -108,42 +122,70 @@ fn cluster_radii(clusters: &[u64], k: usize, seed: u64) -> HashMap<u64, f64> {
     }
 }
 
-/// One-round exchange of `(cluster, m, s)` with all neighbors.
-struct StateExchange {
+/// One-round exchange of `(cluster, m, s)` over the bucket's own edges.
+///
+/// A vertex sends once per *distinct* `E_i` neighbor (parallel bucket
+/// edges cost one message), so the exchange delivers `2|E_i|` messages
+/// on a simple graph; a vertex without bucket edges sends nothing and
+/// is never scheduled. CONGEST-local: every vertex knows `L` from the
+/// broadcast and its own edge weights, hence its own `E_i` edges.
+struct StateExchange<'a> {
     payload: [Word; 3],
-    heard: HashMap<NodeId, [Word; 3]>,
+    bucket_edges: &'a [(NodeId, Weight, EdgeId)],
+    heard: Vec<(NodeId, [Word; 3])>,
 }
 
-impl Program for StateExchange {
-    type Output = HashMap<NodeId, [Word; 3]>;
+impl Program for StateExchange<'_> {
+    type Output = Vec<(NodeId, [Word; 3])>;
     fn init(&mut self, ctx: &mut Ctx<'_>) {
         let [a, b, c] = self.payload;
-        ctx.send_all(Message::words(&[TAG_STATE, a, b, c]));
+        let mut last = None;
+        // sorted by neighbor: parallel edges are adjacent
+        for &(u, _, _) in self.bucket_edges {
+            if last != Some(u) {
+                ctx.send(u, Message::words(&[TAG_STATE, a, b, c]));
+                last = Some(u);
+            }
+        }
     }
     fn round(&mut self, _ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
         for (from, msg) in inbox {
             debug_assert_eq!(msg.word(0), TAG_STATE);
             self.heard
-                .insert(*from, [msg.word(1), msg.word(2), msg.word(3)]);
+                .push((*from, [msg.word(1), msg.word(2), msg.word(3)]));
         }
     }
-    fn finish(self) -> Self::Output {
+    fn finish(mut self) -> Self::Output {
+        self.heard.sort_unstable_by_key(|&(from, _)| from);
         self.heard
     }
 }
 
+/// Runs one [`StateExchange`]; each vertex's inbox comes back sorted by
+/// sender (look entries up with [`heard_from`]).
 fn exchange_states(
     sim: &mut impl Executor,
+    bucket_edges: &[Vec<(NodeId, Weight, EdgeId)>],
     payload: impl Fn(NodeId) -> [Word; 3],
-) -> Vec<HashMap<NodeId, [Word; 3]>> {
+) -> Vec<Vec<(NodeId, [Word; 3])>> {
     let (out, _) = sim.run(|v, _| StateExchange {
         payload: payload(v),
-        heard: HashMap::new(),
+        bucket_edges: &bucket_edges[v],
+        heard: Vec::with_capacity(bucket_edges[v].len()),
     });
     out
 }
 
+/// The state `u` sent in an exchange, from a sender-sorted inbox.
+fn heard_from(inbox: &[(NodeId, [Word; 3])], u: NodeId) -> Option<[Word; 3]> {
+    inbox
+        .binary_search_by_key(&u, |&(from, _)| from)
+        .ok()
+        .map(|i| inbox[i].1)
+}
+
 struct BucketContext<'a> {
+    /// Per-vertex `E_i` adjacency, sorted by neighbor.
     bucket_edges: Vec<Vec<(NodeId, Weight, EdgeId)>>,
     cluster_of: Vec<u64>,
     k: usize,
@@ -334,9 +376,20 @@ fn simulate_case2(
         .map(|v| state.get(&ctx.cluster_of[v]).copied())
         .collect();
 
+    // each vertex's `(cluster, m, s)` for the neighbor exchanges; a
+    // large uniform shift keeps the encoded m positive even for absent
+    // states
+    let payload = |known: &[Option<ClusterState>], v: NodeId| -> [Word; 3] {
+        let st = known[v].unwrap_or(ClusterState {
+            m: -1.0e9,
+            s: u64::MAX,
+        });
+        [ctx.cluster_of[v], enc(st.m, 1.0e9), st.s]
+    };
+
     for round in 0..=ctx.k {
         // (a) LTR sweep distributing center state through intervals
-        let state_rc = Arc::new(state.clone());
+        let state_ref = &state;
         let is_center_ref = &is_center;
         let (_ltr, _) = tour_sweep(
             sim,
@@ -344,12 +397,12 @@ fn simulate_case2(
             Direction::LeftToRight,
             |p| is_center_ref[p],
             |p| {
-                state_rc
+                state_ref
                     .get(&(p as u64))
                     .map(|st| [enc(st.m, shift), st.s])
                     .unwrap_or(neutral)
             },
-            |_| move |_p: usize, t: [u64; 2]| t,
+            |_| |_p: usize, t: [u64; 2]| t,
         );
         // each vertex refreshes its own-cluster knowledge: its first
         // appearance lies in its cluster's interval (free: the value it
@@ -360,24 +413,15 @@ fn simulate_case2(
         if round == ctx.k {
             break; // final dissemination only
         }
-        // (b) neighbor exchange of (cluster, m, s); a large uniform
-        // shift keeps the encoded m positive even for absent states
-        let cluster_of = &ctx.cluster_of;
-        let known_ref = &known;
-        let heard = exchange_states(sim, |v| {
-            let st = known_ref[v].unwrap_or(ClusterState {
-                m: -1.0e9,
-                s: u64::MAX,
-            });
-            [cluster_of[v], enc(st.m, 1.0e9), st.s]
-        });
+        // (b) exchange of (cluster, m, s) over the bucket edges
+        let heard = exchange_states(sim, &ctx.bucket_edges, |v| payload(&known, v));
         // (c) local candidate per vertex
         let cand: Vec<[Word; 2]> = (0..n)
             .map(|v| {
                 let a = ctx.cluster_of[v];
                 let mut best = neutral;
                 for &(u, _, _) in &ctx.bucket_edges[v] {
-                    if let Some(&[bc, mb, s]) = heard[v].get(&u) {
+                    if let Some([bc, mb, s]) = heard_from(&heard[v], u) {
                         if bc != a && s != u64::MAX {
                             let m = dec(mb, 1.0e9) - 1.0;
                             if m > -1.0e8 {
@@ -398,34 +442,14 @@ fn simulate_case2(
                 neutral
             }
         };
-        let cand_rc = Arc::new(cand.clone());
-        let first_app_rc = Arc::new(first_app.to_vec());
-        let cluster_rc = Arc::new(ctx.cluster_of.to_vec());
-        let center_rc = Arc::new(center_of.to_vec());
+        let contribution_ref = &contribution;
         let (rtl, _) = tour_sweep(
             sim,
             routing,
             Direction::RightToLeft,
             |p| is_center_ref[p],
             contribution,
-            |v| {
-                let cand = Arc::clone(&cand_rc);
-                let first_app = Arc::clone(&first_app_rc);
-                let cluster = Arc::clone(&cluster_rc);
-                let center = Arc::clone(&center_rc);
-                move |p: usize, t: [u64; 2]| {
-                    let mine = if first_app[v] == p && cluster[v] == center[p] as u64 {
-                        cand[v]
-                    } else {
-                        [0, u64::MAX]
-                    };
-                    if mine[0] > t[0] || (mine[0] == t[0] && mine[1] <= t[1]) {
-                        mine
-                    } else {
-                        t
-                    }
-                }
-            },
+            |_| move |p: usize, t: [u64; 2]| better(contribution_ref(p), t),
         );
         // (e) centers merge: incoming token at center position +
         // the center owner's own contribution
@@ -468,15 +492,7 @@ fn simulate_case2(
     // itself is the same min-reduction as the sweeps above; its round
     // cost — one interval traversal plus the per-cluster edge count at
     // the bottleneck — is charged explicitly below.
-    let cluster_of = &ctx.cluster_of;
-    let known_ref = &known;
-    let heard = exchange_states(sim, |v| {
-        let st = known_ref[v].unwrap_or(ClusterState {
-            m: -1.0e9,
-            s: u64::MAX,
-        });
-        [cluster_of[v], enc(st.m, 1.0e9), st.s]
-    });
+    let heard = exchange_states(sim, &ctx.bucket_edges, |v| payload(&known, v));
     let mut per_cluster_source: HashMap<(u64, u64), (Weight, EdgeId)> = HashMap::new();
     let mut interval_len: HashMap<u64, u64> = HashMap::new();
     for p in 0..routing.len() {
@@ -486,7 +502,7 @@ fn simulate_case2(
         let a = ctx.cluster_of[v];
         let Some(my) = known[v] else { continue };
         for &(u, w, e) in &ctx.bucket_edges[v] {
-            if let Some(&[bc, mb, s]) = heard[v].get(&u) {
+            if let Some([bc, mb, s]) = heard_from(&heard[v], u) {
                 if bc != a && s != u64::MAX {
                     let m = dec(mb, 1.0e9);
                     if m >= my.m - 1.0 {
@@ -511,6 +527,20 @@ fn simulate_case2(
         messages: per_cluster_source.len() as u64,
         ..RunStats::default()
     });
+}
+
+/// Per-vertex adjacency of the bucket's edges, sorted by neighbor.
+fn bucket_adjacency(g: &Graph, bucket: &[EdgeId]) -> Vec<Vec<(NodeId, Weight, EdgeId)>> {
+    let mut adj = vec![Vec::new(); g.n()];
+    for &e in bucket {
+        let edge = g.edge(e);
+        adj[edge.u].push((edge.v, edge.w, e));
+        adj[edge.v].push((edge.u, edge.w, e));
+    }
+    for list in &mut adj {
+        list.sort_unstable_by_key(|&(u, _, e)| (u, e));
+    }
+    adj
 }
 
 /// Builds a `(2k−1)(1+O(ε))`-spanner with `O(k·n^{1+1/k})` edges and
@@ -590,13 +620,7 @@ pub fn light_spanner(
         }
         let wi = (l_total as f64) / (1.0 + epsilon).powi(i as i32);
         let cluster_width = (epsilon * wi).max(1.0);
-        // per-vertex bucket adjacency
-        let mut bucket_edges: Vec<Vec<(NodeId, Weight, EdgeId)>> = vec![Vec::new(); n];
-        for &e in bucket {
-            let edge = g.edge(e);
-            bucket_edges[edge.u].push((edge.v, edge.w, e));
-            bucket_edges[edge.v].push((edge.u, edge.w, e));
-        }
+        let bucket_edges = bucket_adjacency(g, bucket);
         let shift = (k + 2) as f64;
         let few_clusters = (1.0 + epsilon).powi(i as i32) / epsilon <= case_threshold;
         if few_clusters {
@@ -668,6 +692,7 @@ mod tests {
     use super::*;
     use congest::tree::build_bfs_tree;
     use congest::Simulator;
+    use engine::Engine;
     use lightgraph::{generators, metrics};
 
     fn check(
@@ -695,6 +720,61 @@ mod tests {
             q.lightness
         );
         (q, r)
+    }
+
+    /// Runs one exchange over the bucket `ids` of the executor's graph;
+    /// returns the inboxes, the run's stats and the per-node counters.
+    fn exchange_bill(
+        exec: &mut impl Executor,
+        ids: &[EdgeId],
+    ) -> (Vec<Vec<(NodeId, [Word; 3])>>, RunStats, congest::NodeStats) {
+        let bucket_edges = bucket_adjacency(exec.graph(), ids);
+        exec.set_record_node_stats(true);
+        let payload = |v: NodeId| [v as Word, 10 * v as Word, 100 * v as Word];
+        let heard = exchange_states(exec, &bucket_edges, payload);
+        let stats = exec.total();
+        let nodes = exec.node_stats().expect("node stats recorded").clone();
+        (heard, stats, nodes)
+    }
+
+    #[test]
+    fn state_exchange_bills_one_message_per_distinct_bucket_neighbor() {
+        // G: the path 0–…–6 plus chords 0–3, 1–4 (twice, parallel) and
+        // 2–5. The bucket is every chord plus the path edge 3–4, so 6
+        // has no bucket edge and 1–4 is a parallel pair.
+        let mut g = generators::path(7, 1);
+        assert_eq!((g.edge(3).u, g.edge(3).v), (3, 4));
+        let ids = [
+            3,
+            g.add_edge(0, 3, 5).unwrap(),
+            g.add_edge(1, 4, 5).unwrap(),
+            g.add_edge(1, 4, 6).unwrap(),
+            g.add_edge(2, 5, 5).unwrap(),
+        ];
+        let peers: [&[NodeId]; 7] = [&[3], &[4], &[5], &[0, 4], &[1, 3], &[2], &[]];
+        let want: Vec<Vec<(NodeId, [Word; 3])>> = peers
+            .iter()
+            .map(|ps| {
+                ps.iter()
+                    .map(|&u| (u, [u as Word, 10 * u as Word, 100 * u as Word]))
+                    .collect()
+            })
+            .collect();
+        let sim = exchange_bill(&mut Simulator::new(&g), &ids);
+        let eng = exchange_bill(&mut Engine::with_threads(&g, 2), &ids);
+        for (heard, stats, nodes) in [sim, eng] {
+            assert_eq!(heard, want, "each vertex hears each bucket neighbor once");
+            // Σ_v |distinct bucket neighbors| = 8 = 2·4 distinct pairs of
+            // the 5 bucket edges: the parallel pair costs one message
+            // each way.
+            assert_eq!(stats.messages_delivered(), 8);
+            for v in 0..7 {
+                let d = peers[v].len() as u64;
+                assert_eq!(nodes.sent[v], d, "sent by {v}");
+                assert_eq!(nodes.delivered[v], d, "delivered to {v}");
+                assert_eq!(nodes.invocations[v], d.min(1), "invocations at {v}");
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,6 @@
 use congest::{Ctx, Executor, Message, Program, RunStats, Word};
 use dist_mst::euler::DistEulerTour;
 use lightgraph::NodeId;
-use std::collections::HashMap;
 
 const TAG_TOKEN: u64 = 50;
 
@@ -68,9 +67,11 @@ impl TourRouting {
 type Step<'a> = Box<dyn FnMut(usize, Token) -> Token + Send + 'a>;
 
 struct SweepProgram<'a> {
-    /// For each owned position that forwards: the successor position
-    /// and its owner.
-    next: HashMap<usize, Option<(usize, NodeId)>>,
+    /// Positions owned here, ascending (`routing.positions[v]`).
+    positions: &'a [usize],
+    /// Aligned with `positions`: the successor position and its owner,
+    /// for each owned position that forwards.
+    next: Vec<Option<(usize, NodeId)>>,
     /// Tokens to emit at init (at sweep origins owned here).
     initial: Vec<(usize, Token)>,
     step: Step<'a>,
@@ -79,10 +80,14 @@ struct SweepProgram<'a> {
 
 impl<'a> SweepProgram<'a> {
     fn emit(&mut self, ctx: &mut Ctx<'_>, pos: usize, token: Token) {
-        if let Some(Some((next_pos, owner))) = self.next.get(&pos) {
+        let i = self
+            .positions
+            .binary_search(&pos)
+            .expect("sweep token for a position owned here");
+        if let Some((next_pos, owner)) = self.next[i] {
             ctx.send(
-                *owner,
-                Message::words(&[TAG_TOKEN, *next_pos as u64, token[0], token[1]]),
+                owner,
+                Message::words(&[TAG_TOKEN, next_pos as u64, token[0], token[1]]),
             );
         }
     }
@@ -92,7 +97,7 @@ impl<'a> Program for SweepProgram<'a> {
     type Output = Vec<(usize, Token)>;
 
     fn init(&mut self, ctx: &mut Ctx<'_>) {
-        for (pos, token) in self.initial.clone() {
+        for (pos, token) in std::mem::take(&mut self.initial) {
             self.emit(ctx, pos, token);
         }
     }
@@ -123,16 +128,19 @@ impl<'a> Program for SweepProgram<'a> {
 ///
 /// All intervals run in parallel; rounds ≈ max interval length.
 /// Returns per-vertex `(position, incoming token)` observations.
-pub fn tour_sweep<F>(
+///
+/// The per-vertex `step` closures may borrow the caller's tables for
+/// the duration of the sweep.
+pub fn tour_sweep<'a, F>(
     sim: &mut impl Executor,
-    routing: &TourRouting,
+    routing: &'a TourRouting,
     direction: Direction,
     is_start: impl Fn(usize) -> bool,
     init: impl Fn(usize) -> Token,
     mut make_step: impl FnMut(NodeId) -> F,
 ) -> (Vec<Vec<(usize, Token)>>, RunStats)
 where
-    F: FnMut(usize, Token) -> Token + Send + 'static,
+    F: FnMut(usize, Token) -> Token + Send + 'a,
 {
     let len = routing.len();
     if len == 0 {
@@ -162,15 +170,18 @@ where
     };
 
     sim.run(|v, _| {
-        let mut next = HashMap::new();
-        let mut initial = Vec::new();
-        for &p in &routing.positions[v] {
-            next.insert(p, successor(p).map(|q| (q, routing.owner[q])));
-            if origin(p) {
-                initial.push((p, init(p)));
-            }
-        }
+        let positions = &routing.positions[v][..];
+        let next = positions
+            .iter()
+            .map(|&p| successor(p).map(|q| (q, routing.owner[q])))
+            .collect();
+        let initial = positions
+            .iter()
+            .filter(|&&p| origin(p))
+            .map(|&p| (p, init(p)))
+            .collect();
         SweepProgram {
+            positions,
             next,
             initial,
             step: Box::new(make_step(v)),
@@ -186,6 +197,7 @@ mod tests {
     use congest::Simulator;
     use dist_mst::{boruvka::distributed_mst, euler::distributed_euler_tour};
     use lightgraph::generators;
+    use std::collections::HashMap;
 
     fn routing_for(g: &lightgraph::Graph) -> (TourRouting, lightgraph::Graph) {
         let mut sim = Simulator::new(g);

@@ -65,7 +65,10 @@
 //!   the combiner-aware gather removed the landmark phases outright on
 //!   these shallow instances (made 8k a quick-gate workload); the
 //!   batched-contraction Euler tour plus the pipelined Borůvka merge
-//!   broke the remaining MST/tour message wall (made 64k pinnable).
+//!   broke the remaining MST/tour message wall (made 64k pinnable),
+//! * the Theorem 2 light spanner on `G(4000, 8/n)` — the only pinned
+//!   Baswana–Sen and cluster-graph bucket simulation, gated so the
+//!   bucket-edge-only Case-2 exchange cannot silently regress.
 //!
 //! Each entry reports throughput (`rounds_per_sec`, `msgs_per_sec`,
 //! `wall_ms`), the message-volume split (`messages` sent vs
@@ -85,10 +88,11 @@ use std::time::Instant;
 /// scenario runner's default parameters. SLT@64k joined after the
 /// batched-contraction Euler tour and the pipelined Borůvka merge
 /// broke the MST/tour message wall (~44 s on one core; see DESIGN.md).
-const WORKLOADS: [(&str, &str, usize); 8] = [
+const WORKLOADS: [(&str, &str, usize); 9] = [
     ("geometric", "bfs", 100_000),
     ("geometric", "bfs", 500_000),
     ("geometric", "bfs", 1_000_000),
+    ("erdos-renyi", "spanner", 4_000),
     ("geometric", "slt", 1_000),
     ("geometric", "slt", 2_000),
     ("geometric", "slt", 4_000),
@@ -97,14 +101,15 @@ const WORKLOADS: [(&str, &str, usize); 8] = [
 ];
 
 /// The `--quick` subset, used by the CI bench-regression gate: one
-/// frontier-bound workload (100k BFS) and the SLT sizes small enough
-/// for a PR-latency run — including 8k, which the keyed-relaxation
-/// subsystem and the adaptive landmark cutoff brought under that bar.
-/// SLT@64k (~44 s alone) stays out of the PR gate; the nightly
-/// `--include-ignored` smoke (`crates/engine/tests/large_smoke.rs`)
-/// covers it instead.
-const QUICK: [(&str, &str, usize); 4] = [
+/// frontier-bound workload (100k BFS), the light spanner (~0.5 s), and
+/// the SLT sizes small enough for a PR-latency run — including 8k,
+/// which the keyed-relaxation subsystem and the adaptive landmark
+/// cutoff brought under that bar. SLT@64k (~44 s alone) stays out of
+/// the PR gate; the nightly `--include-ignored` smoke
+/// (`crates/engine/tests/large_smoke.rs`) covers it instead.
+const QUICK: [(&str, &str, usize); 5] = [
     ("geometric", "bfs", 100_000),
+    ("erdos-renyi", "spanner", 4_000),
     ("geometric", "slt", 1_000),
     ("geometric", "slt", 2_000),
     ("geometric", "slt", 8_000),
