@@ -181,6 +181,21 @@ impl<'a> Ctx<'a> {
         self.staged
             .extend(neighbors.iter().map(|&(v, _, _)| (v, msg.clone())));
     }
+
+    /// Sends a copy of `msg` to every neighbor `v` with `!skip(v)` —
+    /// the flooding rule of DESIGN.md § "Floods never echo": a program
+    /// skips the neighbors that, by what it heard this round, must
+    /// reject the message. Stages into the same buffer as
+    /// [`Ctx::send_all`], allocating nothing.
+    pub fn send_all_except(&mut self, msg: Message, skip: impl Fn(NodeId) -> bool) {
+        let neighbors = self.neighbors;
+        self.staged.extend(
+            neighbors
+                .iter()
+                .filter(|&&(v, _, _)| !skip(v))
+                .map(|&(v, _, _)| (v, msg.clone())),
+        );
+    }
 }
 
 /// A per-node state machine executed by an [`Executor`](crate::Executor).

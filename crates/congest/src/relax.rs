@@ -29,6 +29,11 @@
 //!   construction) and batches announcements per round — each key is
 //!   re-announced at most once per [`Program::round`], with the final
 //!   improved state, never once per improving inbox message,
+//! * **echo-free announcements** ([`announce`]): an announcement skips
+//!   every neighbor that announced the same key in this round's inbox
+//!   at a distance no larger — that neighbor must reject it (DESIGN.md
+//!   § "Floods never echo"). The skip set is read off the inbox, so
+//!   programs keep no extra state for it,
 //! * **truncation detection**: the table records whether any accepted
 //!   improvement arrived with an exhausted hop budget. When the flag is
 //!   `false` after an unbounded-distance run, *no relaxation was ever
@@ -213,6 +218,43 @@ pub fn combine_min(queued: &Message, incoming: &Message) -> Message {
     ])
 }
 
+/// Largest number of echo senders [`announce`] keeps on the stack; with
+/// more, it rescans the inbox per neighbor instead.
+const ECHO_STACK: usize = 4;
+
+/// Sends the canonical announcement `msg` to every neighbor except
+/// those that must reject it: a neighbor `u` whose message in `inbox`
+/// carries the same word 0 (tag and key) at a distance `≤ msg`'s.
+///
+/// Why `u` rejects (DESIGN.md § "Floods never echo"): `u` held that
+/// distance when it announced, and a min-monotone table only ever
+/// lowers it, so `u`'s estimate `d_u` is at most the heard distance.
+/// What `u` would compute from `msg` across an edge of weight `w ≥ 0`
+/// is at least `msg`'s distance, hence `≥ d_u`, and `u` discards it —
+/// under any distance bound, hop bound, or parallel edge. Costs
+/// `O(|inbox| + deg)` unless more than four senders echo.
+pub fn announce(ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)], msg: Message) {
+    let (head, dist) = (msg.word(0), msg.word(1));
+    let echoes = |m: &Message| m.word(0) == head && m.word(1) <= dist;
+    let mut heard = [0 as NodeId; ECHO_STACK];
+    let mut count = 0;
+    for (from, m) in inbox {
+        if echoes(m) {
+            if count < ECHO_STACK {
+                heard[count] = *from;
+            }
+            count += 1;
+        }
+    }
+    if count <= ECHO_STACK {
+        ctx.send_all_except(msg, |v| heard[..count].contains(&v));
+    } else {
+        ctx.send_all_except(msg, |v| {
+            inbox.iter().any(|(from, m)| *from == v && echoes(m))
+        });
+    }
+}
+
 /// One dense table slot: the best-known estimate for one key at one
 /// node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -382,25 +424,27 @@ impl KeyedRelaxation {
         true
     }
 
-    /// Announces every key improved since the last flush to all
-    /// neighbors — once per key, with the final improved state, in
-    /// first-improvement order — and clears the improvement set. Keys
-    /// whose hop budget is exhausted are not forwarded.
-    pub fn flush(&mut self, ctx: &mut Ctx<'_>) {
+    /// Announces every key improved since the last flush — once per
+    /// key, with the final improved state, in first-improvement order —
+    /// and clears the improvement set. Keys whose hop budget is
+    /// exhausted are not forwarded. `inbox` is the round's inbox (empty
+    /// from [`Program::init`]): each announcement skips the neighbors
+    /// that announced the same key in it at a distance no larger, which
+    /// must reject it (see [`announce`]).
+    pub fn flush(&mut self, ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
         for i in 0..self.improved.len() {
             let key = self.improved[i] as usize;
             let slot = &mut self.slots[key];
             slot.dirty = false;
             let (dist, hops) = (slot.dist, slot.hops);
             if hops < self.hop_bound {
-                ctx.send_all(
-                    RelaxMsg {
-                        key: key as u64,
-                        dist,
-                        aux: hops,
-                    }
-                    .encode(self.tag),
-                );
+                let msg = RelaxMsg {
+                    key: key as u64,
+                    dist,
+                    aux: hops,
+                }
+                .encode(self.tag);
+                announce(ctx, inbox, msg);
             }
         }
         self.improved.clear();
@@ -571,7 +615,7 @@ impl Program for RelaxProgram {
             let key = self.seeds[i] as usize;
             self.core.seed(key);
         }
-        self.core.flush(ctx);
+        self.core.flush(ctx, &[]);
     }
 
     fn round(&mut self, ctx: &mut Ctx<'_>, inbox: &[(NodeId, Message)]) {
@@ -589,7 +633,7 @@ impl Program for RelaxProgram {
             let w = self.weights[slot].1;
             self.core.absorb(*from, w, msg);
         }
-        self.core.flush(ctx);
+        self.core.flush(ctx, inbox);
     }
 
     fn combine_key(&self, msg: &Message) -> Option<Word> {
@@ -754,10 +798,11 @@ mod tests {
         assert_eq!(out[0].dist(0), Some(1));
         assert_eq!(out[3].dist(0), Some(51));
         // init: 1 and 2 announce (1 msg each); round 1: the center
-        // improves twice but announces once to each of its 3 neighbors
-        // (batched); round 2: nodes 1 and 2 reject, node 3 improves and
-        // echoes once back to the center (rejected there).
-        assert_eq!(stats.messages, 2 + 3 + 1, "center announced once, batched");
+        // improves twice but announces once (batched), and only to leaf
+        // 3 — leaves 1 and 2 announced distance 0 ≤ 1 and would reject
+        // it; round 2: leaf 3 improves, but the center announced 1 ≤ 51
+        // to it, so leaf 3 sends nothing back.
+        assert_eq!(stats.messages, 2 + 1, "center announced once, never echoed");
     }
 
     #[test]

@@ -5,6 +5,14 @@
 //! have a larger running time, we always assume that we have such a tree
 //! at our disposal." We build it once per composite algorithm and charge
 //! its O(D) rounds.
+//!
+//! The flood never echoes (DESIGN.md § "Floods never echo"): a vertex
+//! joins in the round its first JOINs arrive, and every sender in that
+//! inbox sits one level up and has already joined, so the new member
+//! sends JOIN only to its other neighbors. The run delivers exactly
+//! `|cross-level edges| + 2·|same-level edges| + (n − 1)` messages —
+//! one JOIN down each edge between consecutive levels, one each way
+//! along edges inside a level, and one CHILD per non-root vertex.
 
 use crate::exec::Executor;
 use crate::message::Message;
@@ -74,7 +82,10 @@ impl Program for BfsProgram {
                 self.parent = Some(from);
                 self.depth = d + 1;
                 ctx.send(from, Message::words(&[TAG_CHILD]));
-                ctx.send_all(Message::words(&[TAG_JOIN, self.depth]));
+                // Every JOIN sender in this inbox already joined.
+                ctx.send_all_except(Message::words(&[TAG_JOIN, self.depth]), |v| {
+                    inbox.iter().any(|&(u, _)| u == v)
+                });
             }
         }
     }
@@ -87,7 +98,9 @@ impl Program for BfsProgram {
 
 /// Builds a BFS tree rooted at `root` by distributed flooding.
 ///
-/// Takes `O(D)` rounds (plus one round for child notifications). The
+/// Takes `O(D)` rounds (plus one round for child notifications) and
+/// delivers `|cross-level edges| + 2·|same-level edges| + (n − 1)`
+/// messages (see the module docs). The
 /// returned statistics are also accumulated into the simulator's total.
 ///
 /// # Panics

@@ -32,7 +32,10 @@
 //! and it is exactly the π-domination filter that keeps LE state and
 //! traffic at `O(log n)` per node — a dense per-origin table would be
 //! Θ(n) per node and defeat the lists' point. The domination list
-//! stays; everything message-shaped is the subsystem's.
+//! stays; everything message-shaped is the subsystem's, including the
+//! echo-free flood ([`congest::relax::announce`]): a fresh entry is not
+//! sent back to a neighbor that announced the same origin this round at
+//! a distance no larger, because that neighbor's list dominates it.
 
 use congest::collective;
 use congest::relax::{self, RelaxMsg};
@@ -159,8 +162,11 @@ impl Program for LeProgram {
                 fresh.push(e);
             }
         }
+        // A neighbor that sent this origin at a distance no larger
+        // already holds a dominating entry (`u2 == u && d2 <= d`, or a
+        // smaller-rank entry that displaced it): skip the echo.
         for e in fresh {
-            ctx.send_all(Self::encode(e));
+            relax::announce(ctx, inbox, Self::encode(e));
         }
     }
 

@@ -95,64 +95,55 @@ pub struct Csr {
     /// Flattened per-node `(neighbor, directed out id)` pairs, sorted by
     /// neighbor id within each node.
     out_pairs: Vec<(NodeId, DirectedId)>,
-    /// Node offsets into `out_pairs` (`n + 1` entries).
-    out_offsets: Vec<usize>,
     /// Flattened per-node incoming directed ids, ascending within each
     /// node.
     in_ids: Vec<DirectedId>,
-    /// Node offsets into `in_ids` (`n + 1` entries).
-    in_offsets: Vec<usize>,
+    /// Node offsets into both flat arrays (`n + 1` entries): every
+    /// edge is one outgoing and one incoming directed edge at each
+    /// endpoint, so a node's in-degree equals its out-degree.
+    offsets: Vec<usize>,
 }
 
 impl Csr {
-    /// Builds the indexing in `O(n + m log(max degree))`.
+    /// Builds the indexing by counting sort in `O(n + m log(max
+    /// degree))`: count degrees, prefix-sum them into offsets, scatter
+    /// both views in edge-id order, then sort each node's out slice.
     pub fn new(graph: &Graph) -> Self {
         let n = graph.n();
-        let mut out_pairs: Vec<Vec<(NodeId, DirectedId)>> = vec![Vec::new(); n];
-        let mut in_counts = vec![0usize; n];
-        for (id, e) in graph.edges().iter().enumerate() {
-            out_pairs[e.u].push((e.v, 2 * id));
-            out_pairs[e.v].push((e.u, 2 * id + 1));
-            in_counts[e.v] += 1;
-            in_counts[e.u] += 1;
+        let mut offsets = vec![0usize; n + 1];
+        for e in graph.edges() {
+            offsets[e.u + 1] += 1;
+            offsets[e.v + 1] += 1;
         }
-        let mut flat_out = Vec::with_capacity(2 * graph.m());
-        let mut out_offsets = Vec::with_capacity(n + 1);
-        out_offsets.push(0);
-        for pairs in &mut out_pairs {
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut out_pairs = vec![(0, 0); 2 * graph.m()];
+        let mut in_ids = vec![0; 2 * graph.m()];
+        // Edge-id ascending iteration fills each node's incoming list in
+        // ascending directed id order (each edge adds one entry per
+        // endpoint, and ids grow monotonically).
+        for (id, e) in graph.edges().iter().enumerate() {
+            let (cu, cv) = (cursor[e.u], cursor[e.v]);
+            out_pairs[cu] = (e.v, 2 * id);
+            in_ids[cu] = 2 * id + 1;
+            out_pairs[cv] = (e.u, 2 * id + 1);
+            in_ids[cv] = 2 * id;
+            cursor[e.u] += 1;
+            cursor[e.v] += 1;
+        }
+        for v in 0..n {
             // Sort by (neighbor, directed id): with parallel edges the
             // smallest edge id per neighbor comes first, which is the
             // one binary search will find and use — matching the
             // simulator's first-edge routing.
-            pairs.sort_unstable();
-            flat_out.extend_from_slice(pairs);
-            out_offsets.push(flat_out.len());
+            out_pairs[offsets[v]..offsets[v + 1]].sort_unstable();
         }
-
-        let mut in_offsets = Vec::with_capacity(n + 1);
-        in_offsets.push(0);
-        let mut acc = 0;
-        for v in 0..n {
-            acc += in_counts[v];
-            in_offsets.push(acc);
-        }
-        let mut cursor: Vec<usize> = in_offsets[..n].to_vec();
-        let mut in_ids = vec![0; 2 * graph.m()];
-        // Edge-id ascending iteration fills each node's incoming list in
-        // ascending directed id order (2*id targets e.v before 2*id+1
-        // targets e.u, and ids grow monotonically).
-        for (id, e) in graph.edges().iter().enumerate() {
-            in_ids[cursor[e.v]] = 2 * id;
-            cursor[e.v] += 1;
-            in_ids[cursor[e.u]] = 2 * id + 1;
-            cursor[e.u] += 1;
-        }
-
         Csr {
-            out_pairs: flat_out,
-            out_offsets,
+            out_pairs,
             in_ids,
-            in_offsets,
+            offsets,
         }
     }
 
@@ -164,7 +155,7 @@ impl Csr {
     /// `(neighbor, directed id)` pairs for sends from `v`, sorted by
     /// neighbor.
     pub fn out(&self, v: NodeId) -> &[(NodeId, DirectedId)] {
-        &self.out_pairs[self.out_offsets[v]..self.out_offsets[v + 1]]
+        &self.out_pairs[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// The directed id used for sends `from → to` (the smallest-id edge
@@ -183,7 +174,7 @@ impl Csr {
 
     /// Incoming directed ids of `v`, in delivery order.
     pub fn incoming(&self, v: NodeId) -> &[DirectedId] {
-        &self.in_ids[self.in_offsets[v]..self.in_offsets[v + 1]]
+        &self.in_ids[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// The sender of a directed edge, given the graph.
@@ -245,6 +236,60 @@ mod tests {
         assert_eq!(csr.out_id(1, 0), 2 * e0 + 1);
         // both parallel edges still deliver
         assert_eq!(csr.incoming(1), &[0, 2]);
+    }
+
+    /// A multigraph on `n` vertices with about `m` edges drawn from
+    /// `seed`; every fourth edge repeats the previous one's endpoints,
+    /// so parallel edges always occur.
+    fn multigraph(n: usize, m: usize, seed: u64) -> Graph {
+        let mut g = Graph::new(n);
+        let mut x = seed;
+        let mut next = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as usize
+        };
+        let mut last = None;
+        for i in 0..m {
+            let (u, v) = match last {
+                Some(uv) if i % 4 == 3 => uv,
+                _ => (next() % n, next() % n),
+            };
+            if u != v {
+                g.add_edge(u, v, 1 + (next() % 9) as u64).unwrap();
+                last = Some((u, v));
+            }
+        }
+        g
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The counting-sort build equals a naive oracle read off
+        /// `Graph::neighbors`: out pairs sorted by (neighbor, directed
+        /// id), incoming directed ids ascending.
+        #[test]
+        fn views_match_a_naive_oracle(n in 2usize..40, m in 0usize..160, seed in 0u64..10_000) {
+            let g = multigraph(n, m, seed);
+            let csr = Csr::new(&g);
+            proptest::prop_assert_eq!(csr.directed_len(), 2 * g.m());
+            for v in 0..n {
+                let dir = |id: usize, sender: NodeId| 2 * id + usize::from(g.edge(id).u != sender);
+                let mut out: Vec<(NodeId, DirectedId)> = g
+                    .neighbors(v)
+                    .iter()
+                    .map(|&(u, _, id)| (u, dir(id, v)))
+                    .collect();
+                out.sort_unstable();
+                let mut incoming: Vec<DirectedId> =
+                    g.neighbors(v).iter().map(|&(u, _, id)| dir(id, u)).collect();
+                incoming.sort_unstable();
+                proptest::prop_assert_eq!(csr.out(v), &out[..], "out({})", v);
+                proptest::prop_assert_eq!(csr.incoming(v), &incoming[..], "incoming({})", v);
+            }
+        }
     }
 
     #[test]

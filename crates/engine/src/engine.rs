@@ -87,8 +87,8 @@ use crate::csr::{DirectedId, ShardLocality};
 use crate::plan::{EngineTopo, PlanData};
 use crate::pool::WorkerPool;
 use crate::report::EngineReport;
-use congest::plan::TopoCache;
 use congest::obs::{PhaseWall, RoundTrace};
+use congest::plan::TopoCache;
 use congest::slab::{EdgeQueue, Slab};
 use congest::{
     Ctx, Executor, FrontierStats, Message, NodeStats, Program, RunStats, SharedTraceSink,

@@ -948,9 +948,10 @@ fn path_wave_skips_idle_rounds_without_changing_outputs() {
     let mut sim = Simulator::new(&g);
     let (tree, stats) = build_bfs_tree(&mut sim, 0);
     // Dense-schedule facts, independent of frontier scheduling: the
-    // wave takes one round per hop plus the child-notification drain.
+    // wave takes one round per hop plus the last CHILD's delivery (no
+    // JOIN queues behind it: joins are never echoed to the parent).
     assert_eq!(tree.height(), n as u64 - 1);
-    assert_eq!(stats.rounds, n as u64 + 1);
+    assert_eq!(stats.rounds, n as u64);
     let f = sim.frontier_total();
     assert!(
         f.invocations <= 4 * n as u64,
@@ -966,6 +967,80 @@ fn path_wave_skips_idle_rounds_without_changing_outputs() {
         assert_eq!(se, stats, "threads={threads}");
         assert_eq!(Executor::frontier_total(&eng), f, "threads={threads}");
     }
+}
+
+/// The BFS flood's exact bill (DESIGN.md § "Floods never echo"): one
+/// JOIN down every edge between consecutive levels, one each way along
+/// every edge inside a level, and one CHILD per non-root vertex.
+#[test]
+fn bfs_delivers_exactly_the_echo_free_bill() {
+    let geometric = {
+        let n = 300;
+        let r = (8.0 / (std::f64::consts::PI * n as f64)).sqrt();
+        generators::random_geometric(n, r, 17)
+    };
+    for g in [generators::grid(9, 13, 5, 3), geometric] {
+        // Sequential BFS oracle for the levels.
+        let mut depth = vec![u64::MAX; g.n()];
+        depth[0] = 0;
+        let mut queue = std::collections::VecDeque::from([0]);
+        while let Some(u) = queue.pop_front() {
+            for &(v, _, _) in g.neighbors(u) {
+                if depth[v] == u64::MAX {
+                    depth[v] = depth[u] + 1;
+                    queue.push_back(v);
+                }
+            }
+        }
+        let (mut cross, mut same) = (0, 0);
+        for e in g.edges() {
+            match depth[e.u].abs_diff(depth[e.v]) {
+                0 => same += 1,
+                1 => cross += 1,
+                d => unreachable!("BFS levels differ by {d} across an edge"),
+            }
+        }
+        let bill = cross + 2 * same + (g.n() as u64 - 1);
+        let (_, ss) = build_bfs_tree(&mut Simulator::new(&g), 0);
+        let (_, se) = build_bfs_tree(&mut Engine::with_threads(&g, 2), 0);
+        assert_eq!(ss.messages_delivered(), bill, "Simulator, n={}", g.n());
+        assert_eq!(se, ss, "Engine(2), n={}", g.n());
+    }
+}
+
+/// Single-source Bellman–Ford down a path from one end: each vertex
+/// announces once, forward only, so the bill is exactly `n − 1`.
+#[test]
+fn bellman_ford_on_a_path_never_echoes() {
+    let n = 40;
+    let g = generators::path(n, 3);
+    let rs = bellman_ford(&mut Simulator::new(&g), 0);
+    let re = bellman_ford(&mut Engine::with_threads(&g, 2), 0);
+    assert_eq!(rs.stats.messages_delivered(), n as u64 - 1);
+    assert_eq!(re.stats, rs.stats, "Engine(2)");
+    assert_eq!(rs.dist[n - 1], 3 * (n as u64 - 1));
+}
+
+/// LE lists with one active vertex at the end of a path: its entry
+/// travels down the path and never back to the vertex it came from.
+/// The bill is the seed broadcast over τ (one message per tree edge)
+/// plus exactly one LE message per edge.
+#[test]
+fn le_list_entries_are_never_sent_back() {
+    let n = 30;
+    let g = generators::path(n, 2);
+    let mut active = vec![false; n];
+    active[0] = true;
+    fn run(exec: &mut impl Executor, active: &[bool]) -> dist_sssp::LeLists {
+        let (tau, _) = build_bfs_tree(exec, 0);
+        dist_sssp::le_lists(exec, &tau, active, lightgraph::INF, 0.0, 5)
+    }
+    let ls = run(&mut Simulator::new(&g), &active);
+    let le = run(&mut Engine::with_threads(&g, 2), &active);
+    assert_eq!(ls.stats.messages_delivered(), 2 * (n as u64 - 1));
+    assert_eq!(le.stats, ls.stats, "Engine(2)");
+    assert_eq!(le.lists, ls.lists, "Engine(2)");
+    assert_eq!(ls.lists[n - 1], vec![(0, 2 * (n as u64 - 1))]);
 }
 
 proptest! {
